@@ -26,6 +26,10 @@ STREAM_NODES = 1200
 STREAM_EDGES = 4800
 STREAM_BATCH = 40
 STREAM_NEW_NODE_FRACTION = 0.05
+#: Batches cut from one ``random_delta`` draw.  Each draw costs O(|E|),
+#: so drawing several batches at once keeps generation short; the cut
+#: batches apply in order, since a draw touches every edge at most once.
+STREAM_BATCHES_PER_DRAW = 5
 ALPHABET = label_alphabet(6)
 
 KWS_QUERY = KWSQuery((ALPHABET[0], ALPHABET[1]), bound=3)
@@ -57,11 +61,14 @@ SERVE_SESSION_SLOTS = 4
 #: closed and a fresh one admitted in its slot.
 SERVE_SESSION_LIFETIME = (300, 900)
 
-#: Serve-mixed operation codes (first field of each schedule tuple).
+#: Serve-mixed operation codes.  A schedule entry is the small int
+#: ``code | slot << 2 | view << 4`` (8 bytes of list rather than a
+#: tuple's 60 or more), and the n-th write applies ``batches[n]``.
 OP_WRITE = 0
 OP_SESSION_READ = 1
 OP_LATEST_READ = 2
 OP_SESSION_OPEN = 3
+assert SERVE_SESSION_SLOTS <= 4
 
 # ----------------------------------------------------------------------
 # journal-sharded: fixed per-batch costs on a sharded, segmented store
@@ -102,8 +109,8 @@ class WorkloadInput:
 
     graph: GraphInput
     batches: list[Delta]
-    #: serve-mixed only: ``(op, ...)`` tuples, see the ``OP_*`` codes.
-    schedule: list[tuple] = field(default_factory=list)
+    #: serve-mixed only: encoded operations, see the ``OP_*`` codes.
+    schedule: list[int] = field(default_factory=list)
 
     @property
     def num_updates(self) -> int:
@@ -119,23 +126,27 @@ def _graph_input(graph) -> GraphInput:
 
 def stream_4view_input(seed: int, count: int) -> WorkloadInput:
     """A random 1200/4800 graph (giant SCC) and a stream of 40-update
-    ``random_delta`` batches generated against the evolving graph."""
+    batches cut from ``random_delta`` draws against the evolving graph."""
     base = uniform_random_graph(STREAM_NODES, STREAM_EDGES, ALPHABET, seed=seed)
     rng = random.Random(seed)
     scratch = base.copy()
-    batches = []
-    for _ in range(count):
-        delta = random_delta(
+    batches: list[Delta] = []
+    while len(batches) < count:
+        draw = random_delta(
             scratch,
-            STREAM_BATCH,
+            STREAM_BATCH * STREAM_BATCHES_PER_DRAW,
             rho=1.0,
             seed=rng.randrange(1 << 30),
             new_node_fraction=STREAM_NEW_NODE_FRACTION,
             alphabet=ALPHABET,
         )
-        delta.apply_to(scratch)
-        batches.append(delta)
-    return WorkloadInput(_graph_input(base), batches)
+        draw.apply_to(scratch)
+        updates = list(draw)
+        batches.extend(
+            Delta(updates[start : start + STREAM_BATCH])
+            for start in range(0, len(updates), STREAM_BATCH)
+        )
+    return WorkloadInput(_graph_input(base), batches[:count])
 
 
 def _serve_graph(rng: random.Random) -> GraphInput:
@@ -196,7 +207,7 @@ def serve_mixed_input(seed: int, count: int) -> WorkloadInput:
                 present.add(slot)
         batches.append(Delta(updates))
 
-    schedule: list[tuple] = []
+    schedule: list[int] = []
     expires = [0] * SERVE_SESSION_SLOTS  # write count at which a slot renews
     for index in range(count):
         for _ in range(SERVE_READS_PER_WRITE):
@@ -205,11 +216,11 @@ def serve_mixed_input(seed: int, count: int) -> WorkloadInput:
                 slot = rng.randrange(SERVE_SESSION_SLOTS)
                 if expires[slot] <= index:
                     expires[slot] = index + rng.randint(*SERVE_SESSION_LIFETIME)
-                    schedule.append((OP_SESSION_OPEN, slot))
-                schedule.append((OP_SESSION_READ, slot, view))
+                    schedule.append(OP_SESSION_OPEN | slot << 2)
+                schedule.append(OP_SESSION_READ | slot << 2 | view << 4)
             else:
-                schedule.append((OP_LATEST_READ, view))
-        schedule.append((OP_WRITE, index))
+                schedule.append(OP_LATEST_READ | view << 4)
+        schedule.append(OP_WRITE)
     return WorkloadInput(graph, batches, schedule)
 
 

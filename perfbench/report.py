@@ -135,17 +135,14 @@ def loop_windows(result: LoopResult) -> list[dict[str, float]]:
 
 
 def end_to_end(
-    result: LoopResult,
-    setup_seconds: list[float],
-    recover_seconds: list[float],
-    peak_rss_mb: float,
+    result: LoopResult, setup_seconds: list[float], recover_seconds: list[float]
 ) -> dict[str, float]:
     windows = loop_windows(result)
     metrics = {"setup_s": statistics.median(setup_seconds)}
     for name in windows[0]:
         metrics[name] = statistics.median(window[name] for window in windows)
     metrics["recover_s"] = statistics.median(recover_seconds)
-    metrics["peak_rss_mb"] = peak_rss_mb
+    metrics["peak_rss_mb"] = result.rss_mb
     metrics["failed_ops_ratio"] = failed_ratio(result)
     return metrics
 

@@ -26,7 +26,6 @@ import gc
 import json
 import os
 import platform
-import resource
 import shutil
 import sys
 import tempfile
@@ -37,12 +36,13 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("stream-4view", "serve-mixed", "journal-sharded")
 #: Every number must measure the defaults, so these knobs must be unset.
 REFUSED_ENV = ("REPRO_ENGINE_EXECUTOR", "REPRO_WINDOW_SIZE")
-#: Set-up and recovery are short, so one sample mostly measures the
-#: shared machine's state at that instant: repeat each at least this
-#: often and for at least this long in total, and report the median.
+#: Set-up is short, so one sample mostly measures the shared machine's
+#: state at that instant: repeat it at least this often and for at
+#: least this long in total, and report the median.
 SETUP_REPEATS = 5
-RECOVER_REPEATS = 3
 REPEAT_SECONDS = 3.0
+#: Recovery is timed this often; its median is printed, not gated.
+RECOVER_REPEATS = 3
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -104,6 +104,15 @@ def _report_loop(label: str, result) -> None:
     )
     for error, count in sorted(result.errors.items()):
         emit(f"  failed {error}: {count}")
+    if result.exhausted:
+        # A faster program outran the generated stream: the figures
+        # cover a shorter loop than asked for.
+        warning = (
+            f"WARNING: {label} ran out of input after {result.wall:.2f}s; "
+            "raise batches_per_second in perfbench/workloads.py"
+        )
+        emit(warning)
+        print(warning, file=sys.stderr)
 
 
 def _check(workload, dep, data, result) -> list[str]:
@@ -118,11 +127,11 @@ def _check(workload, dep, data, result) -> list[str]:
     return problems
 
 
-def _recover(workload, data, workdir: Path, repeats: int, budget: float = 0.0):
+def _recover(workload, data, workdir: Path, repeats: int):
     gc.collect()
     started = time.perf_counter()
     times, load_report, problems = workload.recover(
-        data, Path(tempfile.mkdtemp(dir=workdir)), repeats, budget
+        data, Path(tempfile.mkdtemp(dir=workdir)), repeats
     )
     for problem in problems:
         emit(f"RECOVERY MISMATCH: {problem}")
@@ -141,6 +150,7 @@ def run(args, workdir: Path) -> int:
         WORKLOADS,
         instrument,
         log_bytes,
+        peak_rss_mb,
         probe_fsync_us,
         snapshot_bytes,
     )
@@ -165,6 +175,7 @@ def run(args, workdir: Path) -> int:
     # traversing them, so its pauses reflect the program's own heap.
     gc.collect()
     gc.freeze()
+    inputs_rss_mb = peak_rss_mb()
 
     if args.trace == 0:
         # Half the set-ups run before the loop (the last one serves it)
@@ -177,18 +188,13 @@ def run(args, workdir: Path) -> int:
         dep.close()
         _repeat_setup(workload, data, workdir, setup_seconds).close()
         recover_seconds, _, recovery_problems = _recover(
-            workload, data, workdir, RECOVER_REPEATS, REPEAT_SECONDS
+            workload, data, workdir, RECOVER_REPEATS
         )
         problems += recovery_problems
         if problems:
             emit(_result_line(False, result, {}))
             return 1
-        metrics = report.end_to_end(
-            result,
-            setup_seconds,
-            recover_seconds,
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        )
+        metrics = report.end_to_end(result, setup_seconds, recover_seconds)
         units = report.END_TO_END
         for index, window in enumerate(report.loop_windows(result)):
             emit(
@@ -199,7 +205,10 @@ def run(args, workdir: Path) -> int:
             f"samples: {len(result.apply_seconds)} applies, "
             f"{len(result.read_seconds)} reads\n"
             f"setups (s): {' '.join(f'{value:.4f}' for value in setup_seconds)}\n"
-            f"recoveries (s): {' '.join(f'{value:.4f}' for value in recover_seconds)}"
+            f"recoveries (s): {' '.join(f'{value:.4f}' for value in recover_seconds)}\n"
+            f"peak rss: {result.rss_mb:.1f} MB after {result.rss_batches} batches; "
+            f"{inputs_rss_mb:.1f} MB before set-up, with the inputs made; "
+            f"difference {result.rss_mb - inputs_rss_mb:.1f} MB"
         )
     else:
         half = args.seconds / 2

@@ -70,6 +70,15 @@ def test_span_counts_equal_issued_operations(traced_run):
     assert all(span.parent == -1 for span in reads)
 
 
+def test_a_run_past_its_input_is_flagged(traced_run):
+    # The tiny inputs end long before the 60 s clock, and before the
+    # batch count at which peak RSS is due, so it is read at the end.
+    _, data, _, result, _ = traced_run
+    assert result.exhausted
+    assert result.rss_batches == len(data.batches)
+    assert result.rss_mb > 0
+
+
 def test_oracle_accepts_the_run_and_rejects_a_lost_batch(traced_run):
     workload, data, _, result, problems = traced_run
     assert problems == []

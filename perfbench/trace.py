@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Callable
 from typing import Any
 
 
@@ -40,8 +39,7 @@ class Span:
 class Tracer:
     """Records spans around wrapped calls."""
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
         self.spans: list[Span] = []
         self._stack: list[int] = []
         #: The driver's current operation id, stamped on new spans.
@@ -55,7 +53,7 @@ class Tracer:
         self._wrapped.append((owner, attr, vars(owner).get(attr)))
         spans = self.spans
         stack = self._stack
-        clock = self.clock
+        clock = time.perf_counter
 
         def traced(*args: Any, **kwargs: Any) -> Any:
             span = Span(name, 0.0, stack[-1] if stack else -1, self.op)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import math
 import os
+import resource
 import shutil
 import time
 from collections import Counter
@@ -138,6 +139,12 @@ class LoopResult:
     #: first one recorded under the same key.
     session_answers: dict = field(default_factory=dict)
     session_extra: list = field(default_factory=list)
+    #: Peak RSS in MB when the loop had applied ``rss_batches`` batches
+    #: (see :attr:`Workload.rss_batches`).
+    rss_mb: float = 0.0
+    rss_batches: int = 0
+    #: The input stream ran out before the clock did.
+    exhausted: bool = False
 
     @property
     def reads(self) -> int:
@@ -149,6 +156,15 @@ class LoopResult:
         self.apply_seconds.append(after - before)
         self.apply_ends.append(after)
         self.apply_sizes.append(size)
+
+    def note_rss(self) -> None:
+        self.rss_mb = peak_rss_mb()
+        self.rss_batches = len(self.applied)
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _fail(result: LoopResult, kind: str, error: BaseException) -> None:
@@ -180,9 +196,13 @@ class Workload:
     probes: tuple[tuple[str, str], ...] = ()
     #: Batches the recovery fixture applies before it is loaded.
     recovery_batches = 0
-    #: Write batches generated per second of measurement: above the
-    #: rate the loop reaches, so the stream outlasts the clock.
+    #: Write batches generated per second of measurement: well above
+    #: the rate the loop reaches, so the stream outlasts the clock.
     batches_per_second = 0
+    #: Peak RSS is read when the loop has applied this many batches, so
+    #: it does not grow with the loop's speed.  A loop that stops sooner
+    #: reads it at its end.
+    rss_batches = 0
 
     def make_input(self, seed: int, seconds: float) -> WorkloadInput:
         count = max(self.recovery_batches, math.ceil(seconds * self.batches_per_second))
@@ -231,6 +251,8 @@ class Workload:
                 result.record_apply(index, len(batch), before, after)
                 if tracer is not None:
                     result.view_reports.append(_summarize(report))
+                if len(result.applied) == self.rss_batches:
+                    result.note_rss()
             view, query = probes[index % len(probes)]
             if tracer is not None:
                 tracer.op = op = op + 1
@@ -249,7 +271,11 @@ class Workload:
             else:
                 if tracer is not None:
                     result.read_hits.append(stats().hits > hits)
+        else:
+            result.exhausted = True
         result.wall = clock() - started
+        if not result.rss_batches:
+            result.note_rss()
         return result
 
     # -- the oracle -----------------------------------------------------
@@ -278,22 +304,21 @@ class Workload:
         return problems
 
     def recover(
-        self, data: WorkloadInput, root: Path, repeats: int, budget: float = 0.0
+        self, data: WorkloadInput, root: Path, repeats: int
     ) -> tuple[list[float], Any, list[str]]:
         """Time recovery on a fixture of fixed size: a fresh deployment
         that applies the first :attr:`recovery_batches` input batches,
-        outside any clock, then is loaded without re-attaching the
-        journal, at least ``repeats`` times and for at least ``budget``
-        seconds.  (The timed loop's own store holds a log whose length
-        depends on how fast the loop ran.)  Returns the load times, the
-        last load report, and every difference between a recovered
-        engine and the live one."""
+        outside any clock, then is loaded ``repeats`` times without
+        re-attaching the journal.  (The timed loop's own store holds a
+        log whose length depends on how fast the loop ran.)  Returns the
+        load times, the last load report, and every difference between a
+        recovered engine and the live one."""
         dep = self.setup(data, root)
         for batch in data.batches[: self.recovery_batches]:
             dep.repo.apply(batch)
         times: list[float] = []
         problems: list[str] = []
-        while len(times) < repeats or sum(times) < budget:
+        for _ in range(repeats):
             started = time.perf_counter()
             revived = dep.store.load(attach_journal=False)
             times.append(time.perf_counter() - started)
@@ -335,7 +360,8 @@ class Stream4View(Workload):
     #: workloads measure replay).  A short tail would make the figure
     #: hinge on the cost of a few particular SCC repairs.
     recovery_batches = 100
-    batches_per_second = 60
+    batches_per_second = 150
+    rss_batches = 400
 
     def generate(self, seed: int, count: int) -> WorkloadInput:
         return inputs.stream_4view_input(seed, count)
@@ -360,7 +386,8 @@ class JournalSharded(Workload):
     probes = tuple((spec.name, spec.query) for spec in views)
     #: No snapshot policy: the post-preload snapshot, then pure replay.
     recovery_batches = 2000
-    batches_per_second = 3000
+    batches_per_second = 5000
+    rss_batches = 16000
 
     def generate(self, seed: int, count: int) -> WorkloadInput:
         return inputs.journal_sharded_input(seed, count)
@@ -396,7 +423,8 @@ class ServeMixed(Workload):
         ViewSpec("scc", "components", *SCC),
     )
     recovery_batches = 1000
-    batches_per_second = 400
+    batches_per_second = 1000
+    rss_batches = 1200
 
     def generate(self, seed: int, count: int) -> WorkloadInput:
         return inputs.serve_mixed_input(seed, count)
@@ -418,6 +446,7 @@ class ServeMixed(Workload):
         answers = result.session_answers
         clock = time.perf_counter
         stats = repo.cache_stats
+        writes = 0
         result.started = started = clock()
         deadline = started + seconds
         for op, step in enumerate(data.schedule):
@@ -425,9 +454,10 @@ class ServeMixed(Workload):
                 break
             if tracer is not None:
                 tracer.op = op
-            code = step[0]
+            code, slot, view_index = step & 3, step >> 2 & 3, step >> 4
             if code == inputs.OP_WRITE:
-                batch = data.batches[step[1]]
+                index, writes = writes, writes + 1
+                batch = data.batches[index]
                 result.attempted["apply"] += 1
                 try:
                     before = clock()
@@ -436,11 +466,12 @@ class ServeMixed(Workload):
                 except TYPED_ERRORS as error:
                     _fail(result, "apply", error)
                 else:
-                    result.record_apply(step[1], len(batch), before, after)
+                    result.record_apply(index, len(batch), before, after)
                     if tracer is not None:
                         result.view_reports.append(_summarize(report))
+                    if len(result.applied) == self.rss_batches:
+                        result.note_rss()
             elif code == inputs.OP_SESSION_OPEN:
-                slot = step[1]
                 if sessions[slot] is not None:
                     sessions[slot].close()
                     sessions[slot] = None
@@ -454,8 +485,8 @@ class ServeMixed(Workload):
                     if tracer is not None:
                         tracer.wrap(session, "read", "serving.session_read")
             else:
-                view, query = queries[step[-1]]
-                session = sessions[step[1]] if code == inputs.OP_SESSION_READ else None
+                view, query = queries[view_index]
+                session = sessions[slot] if code == inputs.OP_SESSION_READ else None
                 result.attempted["read"] += 1
                 if code == inputs.OP_SESSION_READ and session is None:
                     result.failed["read"] += 1
@@ -480,13 +511,17 @@ class ServeMixed(Workload):
                 if tracer is not None:
                     result.read_hits.append(stats().hits > hits)
                 if session is not None:
-                    key = (session.generation, step[-1])
+                    key = (session.generation, view_index)
                     seen = answers.get(key)
                     if seen is None:
                         answers[key] = answer
                     elif seen is not answer:
                         result.session_extra.append((key, answer))
+        else:
+            result.exhausted = True
         result.wall = clock() - started
+        if not result.rss_batches:
+            result.note_rss()
         for session in sessions:
             if session is not None:
                 session.close()
@@ -538,18 +573,22 @@ def snapshot_bytes(store: SnapshotStore) -> int:
     return _size(store.snapshot_path)
 
 
-def probe_fsync_us(workspace: Path, rounds: int = 80) -> float:
+#: Appends (each fsync'd) the fsync probe times.
+FSYNC_PROBE_ROUNDS = 80
+
+
+def probe_fsync_us(workspace: Path) -> float:
     """Sustained fsync latency of the workspace filesystem, in us."""
     path = workspace / "fsync-probe.bin"
     with open(path, "ab") as handle:
         started = time.perf_counter()
-        for _ in range(rounds):
+        for _ in range(FSYNC_PROBE_ROUNDS):
             handle.write(b"x" * 256)
             handle.flush()
             os.fsync(handle.fileno())
         elapsed = time.perf_counter() - started
     path.unlink()
-    return elapsed / rounds * 1e6
+    return elapsed / FSYNC_PROBE_ROUNDS * 1e6
 
 
 def instrument(dep: Deployment, tracer: Tracer) -> None:
