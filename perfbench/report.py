@@ -141,7 +141,8 @@ def end_to_end(
     metrics = {"setup_s": statistics.median(setup_seconds)}
     for name in windows[0]:
         metrics[name] = statistics.median(window[name] for window in windows)
-    metrics["recover_s"] = statistics.median(recover_seconds)
+    if recover_seconds:
+        metrics["recover_s"] = statistics.median(recover_seconds)
     metrics["peak_rss_mb"] = result.rss_mb
     metrics["failed_ops_ratio"] = failed_ratio(result)
     return metrics
@@ -162,7 +163,8 @@ def per_layer(
     batches skipped); ``cache`` holds the loop deltas of the cache's
     (hits, misses, frozen) counters; ``disk`` holds the log growth per
     update and the snapshot size; ``load_report`` is the store's
-    :class:`~repro.persist.snapshot.LoadReport` for the recovery."""
+    :class:`~repro.persist.snapshot.LoadReport` for the recovery, or
+    ``None`` for a workload without a store."""
     metrics: dict[str, float] = {}
     write_seconds = sum(span.duration for span in tracer.named("serving.apply"))
     for view in LAYER_VIEWS:
@@ -192,9 +194,13 @@ def per_layer(
     metrics["persist.save_ms"] = spans_ms("persist.save")
     metrics["persist.log_bytes_per_update"] = disk["log_bytes_per_update"]
     metrics["persist.snapshot_bytes"] = disk["snapshot_bytes"]
-    metrics["persist.restore_s"] = load_report.restore_seconds
-    metrics["persist.replay_s"] = load_report.replay_seconds
-    metrics["persist.entries_replayed"] = load_report.entries_replayed
+    if load_report is not None:
+        metrics["persist.restore_s"] = load_report.restore_seconds
+        metrics["persist.replay_s"] = load_report.replay_seconds
+        metrics["persist.entries_replayed"] = load_report.entries_replayed
+    else:
+        metrics["persist.restore_s"] = metrics["persist.replay_s"] = 0.0
+        metrics["persist.entries_replayed"] = 0
     metrics["graph.bulk_load_s"] = spans_ms("graph.bulk_load") / 1e3
     metrics["serving.write_overhead_ms"] = median_ms(
         tracer.self_times("serving.apply")

@@ -128,6 +128,9 @@ def _check(workload, dep, data, result) -> list[str]:
 
 
 def _recover(workload, data, workdir: Path, repeats: int):
+    if not workload.recovery_batches:
+        emit("recovery: none, the workload keeps no store")
+        return [], None, []
     gc.collect()
     started = time.perf_counter()
     times, load_report, problems = workload.recover(
@@ -204,8 +207,11 @@ def run(args, workdir: Path) -> int:
         emit(
             f"samples: {len(result.apply_seconds)} applies, "
             f"{len(result.read_seconds)} reads\n"
-            f"setups (s): {' '.join(f'{value:.4f}' for value in setup_seconds)}\n"
-            f"recoveries (s): {' '.join(f'{value:.4f}' for value in recover_seconds)}\n"
+            f"setups (s): {' '.join(f'{value:.4f}' for value in setup_seconds)}"
+        )
+        if recover_seconds:
+            emit(f"recoveries (s): {' '.join(f'{value:.4f}' for value in recover_seconds)}")
+        emit(
             f"peak rss: {result.rss_mb:.1f} MB after {result.rss_batches} batches; "
             f"{inputs_rss_mb:.1f} MB before set-up, with the inputs made; "
             f"difference {result.rss_mb - inputs_rss_mb:.1f} MB"
@@ -271,7 +277,8 @@ def run(args, workdir: Path) -> int:
 
     printed = units if args.trace else {**units, **report.REPORTED_ONLY}
     for name, unit in printed.items():
-        emit(f"  {name:<32} {metrics[name]:>16.6f} {unit}")
+        if name in metrics:
+            emit(f"  {name:<32} {metrics[name]:>16.6f} {unit}")
     emit(
         _result_line(
             True,

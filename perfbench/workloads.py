@@ -96,11 +96,11 @@ EDGE_LABEL_COUNT = (
 
 @dataclass
 class Deployment:
-    """A served repository and the store journaling it."""
+    """A served repository and the store journaling it, if any."""
 
     repo: Repository
     engine: Engine
-    store: SnapshotStore
+    store: Optional[SnapshotStore]
     root: Path
 
     def close(self) -> None:
@@ -194,7 +194,8 @@ class Workload:
     #: ``(view, query)`` read after every applied batch by the stream
     #: workloads, in rotation.
     probes: tuple[tuple[str, str], ...] = ()
-    #: Batches the recovery fixture applies before it is loaded.
+    #: Batches the recovery fixture applies before it is loaded; 0 for a
+    #: workload that keeps no store, so has nothing to recover.
     recovery_batches = 0
     #: Write batches generated per second of measurement: well above
     #: the rate the loop reaches, so the stream outlasts the clock.
@@ -354,11 +355,13 @@ class Stream4View(Workload):
         ViewSpec("scc", "components", *SCC),
         ViewSpec("iso", "matches", *ISO),
     )
-    probes = tuple((spec.name, spec.query) for spec in views)
+    #: One view only: the four views' reads cost 0.15-2 ms apart, so a
+    #: median over a rotation would sit on the edge between two of them.
+    probes = (("scc", "components"),)
     #: Two snapshot periods: the set-up snapshot plus two incremental
-    #: saves and no log tail, so recovery is pure restore (the other
-    #: workloads measure replay).  A short tail would make the figure
-    #: hinge on the cost of a few particular SCC repairs.
+    #: saves and no log tail, so recovery is pure restore
+    #: (journal-sharded measures replay).  A short tail would make the
+    #: figure hinge on the cost of a few particular SCC repairs.
     recovery_batches = 100
     batches_per_second = 150
     rss_batches = 400
@@ -422,7 +425,10 @@ class ServeMixed(Workload):
         ViewSpec("kws", "roots", *_kws(inputs.SERVE_KWS_QUERY)),
         ViewSpec("scc", "components", *SCC),
     )
-    recovery_batches = 1000
+    #: No store, as in ``bench_serving.py``: a per-batch fsync would be
+    #: most of a small write, and would tie the serving figures to the
+    #: disk's latency.
+    recovery_batches = 0
     batches_per_second = 1000
     rss_batches = 1200
 
@@ -432,11 +438,8 @@ class ServeMixed(Workload):
     def setup(self, data, root, tracer=None):
         graph = DiGraph(labels=data.graph.labels, edges=data.graph.edges)
         engine = _engine_with(graph, self.views)
-        store = SnapshotStore(root)
-        store.attach(engine)
-        store.save(engine)
         repo = Repository(engine, max_sessions=inputs.SERVE_SESSION_SLOTS + 2)
-        return Deployment(repo, engine, store, root)
+        return Deployment(repo, engine, None, root)
 
     def drive(self, dep, data, seconds, tracer=None):
         repo = dep.repo
@@ -559,8 +562,10 @@ WORKLOADS: dict[str, Workload] = {
 }
 
 
-def log_bytes(store: SnapshotStore) -> int:
+def log_bytes(store: Optional[SnapshotStore]) -> int:
     """Bytes of write-ahead log on disk (monolithic or segmented)."""
+    if store is None:
+        return 0
     root = store.root
     total = _size(root / SnapshotStore.LOG_NAME)
     segments = root / SnapshotStore.SEGMENTS_NAME
@@ -569,8 +574,8 @@ def log_bytes(store: SnapshotStore) -> int:
     return total
 
 
-def snapshot_bytes(store: SnapshotStore) -> int:
-    return _size(store.snapshot_path)
+def snapshot_bytes(store: Optional[SnapshotStore]) -> int:
+    return 0 if store is None else _size(store.snapshot_path)
 
 
 #: Appends (each fsync'd) the fsync probe times.
@@ -601,5 +606,6 @@ def instrument(dep: Deployment, tracer: Tracer) -> None:
     tracer.wrap(engine, "apply", "engine.apply")
     tracer.wrap(engine.scheduler, "partition", "engine.route")
     tracer.wrap(engine.scheduler, "dispatch", "engine.dispatch")
-    tracer.wrap(engine.journal, "append", "persist.append")
-    tracer.wrap(dep.store, "save", "persist.save")
+    if dep.store is not None:
+        tracer.wrap(engine.journal, "append", "persist.append")
+        tracer.wrap(dep.store, "save", "persist.save")
