@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 import statistics
-from bisect import bisect_left
 from collections.abc import Iterable
+from typing import Optional
 
+from perfbench.calibrate import HostSpeed
 from perfbench.trace import Tracer
 from perfbench.workloads import LoopResult
 
@@ -93,54 +94,95 @@ def failed_ratio(result: LoopResult) -> float:
     return ratio(sum(result.failed.values()), sum(result.attempted.values()))
 
 
-#: A loop is split into at most this many windows of equal duration...
-WINDOWS = 10
-#: ...each holding at least this many applies on average, so each
-#: window's p99 has ten samples beyond it.
+#: The loop is cut into segments this long; each op's latency is scaled
+#: by the host's slowdown over the segment it ended in.  The host's
+#: speed flips within a few seconds, so a segment must be shorter.
+SEGMENT_SECONDS = 0.25
+
+
+#: apply_p99 is the median of the p99s of up to this many windows of
+#: consecutive applies...
+P99_WINDOWS = 10
+#: ...each holding at least this many, so each window's p99 has ten
+#: samples beyond it.  A disk slow spell then moves few windows.
 MIN_WINDOW_APPLIES = 1000
 
 
-def loop_windows(result: LoopResult) -> list[dict[str, float]]:
-    """Latency and rate metrics of each window of the loop.  Reporting
-    the median over windows keeps a slow spell of the shared machine,
-    shorter than half the loop, out of the numbers."""
-    count = min(WINDOWS, max(1, len(result.apply_seconds) // MIN_WINDOW_APPLIES))
-    span = result.wall / count
-    windows = []
-    for index in range(count):
-        low = result.started + index * span
-        high = low + span if index < count - 1 else math.inf
-        first, last = (
-            bisect_left(result.apply_ends, low),
-            bisect_left(result.apply_ends, high),
-        )
-        applies = result.apply_seconds[first:last]
-        updates = sum(result.apply_sizes[first:last])
-        first, last = (
-            bisect_left(result.read_ends, low),
-            bisect_left(result.read_ends, high),
-        )
-        reads = result.read_seconds[first:last]
-        windows.append(
-            {
-                "apply_p50_ms": percentile_ms(applies, 0.50),
-                "apply_p99_ms": percentile_ms(applies, 0.99),
-                "updates_per_s": updates / span,
-                "read_p50_ms": percentile_ms(reads, 0.50),
-                "read_p99_ms": percentile_ms(reads, 0.99),
-                "reads_per_s": len(reads) / span,
-            }
-        )
-    return windows
+def windowed_p99_ms(seconds: list[float]) -> float:
+    """Median over windows of consecutive samples of each window's p99."""
+    count = min(P99_WINDOWS, max(1, len(seconds) // MIN_WINDOW_APPLIES))
+    size = len(seconds) // count
+    return statistics.median(
+        percentile_ms(seconds[index * size : (index + 1) * size], 0.99)
+        for index in range(count)
+    )
+
+
+def segment_slowdowns(result: LoopResult, speed: HostSpeed) -> list[float]:
+    """The host's slowdown over each segment of the loop: the median of
+    the calibration units timed in it, or over the whole loop for a
+    segment that holds none (one long operation)."""
+    end = result.started + result.wall
+    overall = speed.slowdown(*speed.between(result.started, end))
+    slowdowns = []
+    for index in range(max(1, math.ceil(result.wall / SEGMENT_SECONDS))):
+        low = result.started + index * SEGMENT_SECONDS
+        first, last = speed.between(low, min(low + SEGMENT_SECONDS, end))
+        slowdowns.append(speed.slowdown(first, last) if last > first else overall)
+    return slowdowns
+
+
+def loop_metrics(
+    result: LoopResult, speed: Optional[HostSpeed] = None
+) -> dict[str, float]:
+    """Latency and rate metrics of one loop, over all its operations.
+
+    With ``speed``, each latency is divided by the host's slowdown over
+    its segment, and each rate counts the loop's time the same way, so
+    that a second at slowdown 2 counts as half a second; the time spent
+    on calibration units is left out of the loop's time."""
+    if speed is None:
+        scale = [1.0]
+        busy = result.wall
+    else:
+        scale = segment_slowdowns(result, speed)
+        busy = 0.0
+        for index, slowdown in enumerate(scale):
+            low = result.started + index * SEGMENT_SECONDS
+            high = min(low + SEGMENT_SECONDS, result.started + result.wall)
+            busy += (high - low - speed.spent(low, high)) / slowdown
+    last_segment = len(scale) - 1
+    started = result.started
+
+    def scaled(seconds: list[float], ends: list[float]) -> list[float]:
+        return [
+            value / scale[min(last_segment, int((end - started) / SEGMENT_SECONDS))]
+            for value, end in zip(seconds, ends)
+        ]
+
+    applies = scaled(result.apply_seconds, result.apply_ends)
+    reads = scaled(result.read_seconds, result.read_ends)
+    return {
+        "apply_p50_ms": percentile_ms(applies, 0.50),
+        "apply_p99_ms": windowed_p99_ms(applies),
+        "updates_per_s": result.updates / busy,
+        "read_p50_ms": percentile_ms(reads, 0.50),
+        "read_p99_ms": percentile_ms(reads, 0.99),
+        "reads_per_s": len(reads) / busy,
+    }
 
 
 def end_to_end(
-    result: LoopResult, setup_seconds: list[float], recover_seconds: list[float]
+    result: LoopResult,
+    setup_seconds: list[float],
+    recover_seconds: list[float],
+    speed: HostSpeed,
 ) -> dict[str, float]:
-    windows = loop_windows(result)
+    """The end-to-end metrics of one loop, its times scaled by ``speed``;
+    ``setup_seconds`` and ``recover_seconds`` hold one figure per set-up
+    and recovery, as they are to be reported."""
     metrics = {"setup_s": statistics.median(setup_seconds)}
-    for name in windows[0]:
-        metrics[name] = statistics.median(window[name] for window in windows)
+    metrics.update(loop_metrics(result, speed))
     if recover_seconds:
         metrics["recover_s"] = statistics.median(recover_seconds)
     metrics["peak_rss_mb"] = result.rss_mb

@@ -6,6 +6,9 @@ Run from the repository root::
     python3 perfbench/run.py --workload stream-4view --seed 1 --seconds 22 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with nothing wrapped.
+Their times are scaled by the host's speed, measured in the same run
+with a fixed calibration unit (see ``perfbench/calibrate.py``), so they
+read as on a reference host; the wall-clock figures are printed too.
 ``--trace 1`` runs the loop twice on the same inputs, for half the time
 each: once untraced, once with spans around every layer's entry points.
 It reports the per-layer metrics of the traced half and the tracing
@@ -27,6 +30,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -39,7 +43,7 @@ REFUSED_ENV = ("REPRO_ENGINE_EXECUTOR", "REPRO_WINDOW_SIZE")
 #: Set-up is short, so one sample mostly measures the shared machine's
 #: state at that instant: repeat it at least this often and for at
 #: least this long in total, and report the median.
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 REPEAT_SECONDS = 3.0
 #: Recovery is timed this often; its median is printed, not gated.
 RECOVER_REPEATS = 3
@@ -75,21 +79,27 @@ def _setup(workload, data, workdir: Path, tracer=None) -> tuple[object, float]:
     return dep, time.perf_counter() - started
 
 
-def _repeat_setup(workload, data, workdir: Path, times: list[float]):
+def _repeat_setup(workload, data, workdir: Path, speed, times: list[float]):
     """Set up at least ``SETUP_REPEATS // 2 + 1`` times and for at least
-    ``REPEAT_SECONDS / 2``, appending each duration to ``times``; return
-    the last deployment, the others closed."""
+    ``REPEAT_SECONDS / 2`` of wall time, each between two calibration
+    points; append each duration, scaled by the slowdown the two points
+    measured, to ``times``.  Return the last deployment, the others
+    closed."""
+    from perfbench.calibrate import SETUP_UNITS
+
     dep = None
+    wall = 0.0
     started = len(times)
-    while (
-        len(times) - started <= SETUP_REPEATS // 2
-        or sum(times[started:]) < REPEAT_SECONDS / 2
-    ):
+    while len(times) - started <= SETUP_REPEATS // 2 or wall < REPEAT_SECONDS / 2:
         if dep is not None:
             dep.close()
             gc.collect()  # free the closed deployment before timing the next
+        first = len(speed.seconds)
+        speed.point(SETUP_UNITS)
         dep, elapsed = _setup(workload, data, workdir)
-        times.append(elapsed)
+        speed.point(SETUP_UNITS)
+        wall += elapsed
+        times.append(elapsed / speed.slowdown(first))
     return dep
 
 
@@ -148,6 +158,7 @@ def _recover(workload, data, workdir: Path, repeats: int):
 
 def run(args, workdir: Path) -> int:
     from perfbench import report
+    from perfbench.calibrate import HostSpeed
     from perfbench.trace import Tracer
     from perfbench.workloads import (
         WORKLOADS,
@@ -183,13 +194,14 @@ def run(args, workdir: Path) -> int:
     if args.trace == 0:
         # Half the set-ups run before the loop (the last one serves it)
         # and half after, so the median spans two moments of the machine.
+        speed = HostSpeed()
         setup_seconds: list[float] = []
-        dep = _repeat_setup(workload, data, workdir, setup_seconds)
-        result = workload.drive(dep, data, args.seconds)
+        dep = _repeat_setup(workload, data, workdir, speed, setup_seconds)
+        result = workload.drive(dep, data, args.seconds, speed=speed)
         _report_loop("loop", result)
         problems = _check(workload, dep, data, result)
         dep.close()
-        _repeat_setup(workload, data, workdir, setup_seconds).close()
+        _repeat_setup(workload, data, workdir, speed, setup_seconds).close()
         recover_seconds, _, recovery_problems = _recover(
             workload, data, workdir, RECOVER_REPEATS
         )
@@ -197,17 +209,24 @@ def run(args, workdir: Path) -> int:
         if problems:
             emit(_result_line(False, result, {}))
             return 1
-        metrics = report.end_to_end(result, setup_seconds, recover_seconds)
+        metrics = report.end_to_end(result, setup_seconds, recover_seconds, speed)
         units = report.END_TO_END
-        for index, window in enumerate(report.loop_windows(result)):
-            emit(
-                f"window {index}: "
-                + ", ".join(f"{name} {value:.4f}" for name, value in window.items())
+        slowdowns = sorted(report.segment_slowdowns(result, speed))
+        emit(
+            f"host slowdown over {len(slowdowns)} loop segments: "
+            f"min {slowdowns[0]:.3f}, median {statistics.median(slowdowns):.3f}, "
+            f"max {slowdowns[-1]:.3f}; {len(speed.seconds)} calibration units in all"
+        )
+        emit(
+            "wall clock, not scaled: "
+            + ", ".join(
+                f"{name} {value:.4f}" for name, value in report.loop_metrics(result).items()
             )
+        )
         emit(
             f"samples: {len(result.apply_seconds)} applies, "
             f"{len(result.read_seconds)} reads\n"
-            f"setups (s): {' '.join(f'{value:.4f}' for value in setup_seconds)}"
+            f"setups (s, scaled): {' '.join(f'{value:.4f}' for value in setup_seconds)}"
         )
         if recover_seconds:
             emit(f"recoveries (s): {' '.join(f'{value:.4f}' for value in recover_seconds)}")

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from perfbench import run
+from perfbench import report, run
+from perfbench.calibrate import REFERENCE_UNIT_SECONDS, HostSpeed
 from perfbench.trace import Tracer
-from perfbench.workloads import WORKLOADS, instrument
+from perfbench.workloads import WORKLOADS, LoopResult, instrument
 
 #: Batches (serve-mixed: write cycles of 49 reads + 1 write) per tiny run.
 TINY = {"stream-4view": 12, "serve-mixed": 6, "journal-sharded": 40}
@@ -109,3 +110,30 @@ def test_refuses_non_default_knobs(monkeypatch, capsys, variable):
     argv = ["--workload", "stream-4view", "--seed", "1", "--seconds", "1"]
     assert run.main(argv) == 2
     assert variable in capsys.readouterr().err
+
+
+def test_loop_metrics_scale_by_each_segments_slowdown():
+    # Two segments: the host runs at the reference speed in the first and
+    # at half of it in the second.  Each segment holds one calibration
+    # unit, one apply of 2 updates and one read.
+    width = report.SEGMENT_SECONDS
+    unit = REFERENCE_UNIT_SECONDS
+    speed = HostSpeed()
+    speed.ends = speed.point_ends = [0.1 * width, 1.1 * width]
+    speed.seconds = [unit, 2 * unit]
+    speed.point_seconds = [2 * unit, 4 * unit]
+    result = LoopResult(started=0.0, wall=2 * width)
+    result.record_apply(0, 2, 0.4 * width - 0.004, 0.4 * width)
+    result.record_apply(1, 2, 1.4 * width - 0.008, 1.4 * width)
+    result.read_seconds = [0.002, 0.004]
+    result.read_ends = [0.5 * width, 1.5 * width]
+    assert report.segment_slowdowns(result, speed) == [1.0, 2.0]
+    metrics = report.loop_metrics(result, speed)
+    assert metrics["apply_p50_ms"] == pytest.approx(4.0)
+    assert metrics["apply_p99_ms"] == pytest.approx(4.0)
+    assert metrics["read_p50_ms"] == pytest.approx(2.0)
+    # The loop's time, calibration left out, counts the slow segment half.
+    busy = (width - 2 * unit) + (width - 4 * unit) / 2
+    assert metrics["updates_per_s"] == pytest.approx(4 / busy)
+    assert metrics["reads_per_s"] == pytest.approx(2 / busy)
+    assert report.loop_metrics(result)["updates_per_s"] == pytest.approx(4 / (2 * width))

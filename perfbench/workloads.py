@@ -45,6 +45,7 @@ from repro.serving.repository import (
 )
 
 from perfbench import inputs
+from perfbench.calibrate import POINT_INTERVAL_SECONDS, HostSpeed
 from perfbench.inputs import WorkloadInput
 from perfbench.trace import Tracer
 
@@ -225,9 +226,13 @@ class Workload:
         data: WorkloadInput,
         seconds: float,
         tracer: Optional[Tracer] = None,
+        speed: Optional[HostSpeed] = None,
     ) -> LoopResult:
         """Apply the batch stream, reading one probe query after every
-        batch, until ``seconds`` have passed or the stream ends."""
+        batch, until ``seconds`` have passed or the stream ends.  With
+        ``speed``, time a calibration point every
+        :data:`~perfbench.calibrate.POINT_INTERVAL_SECONDS` between
+        operations."""
         repo = dep.repo
         result = LoopResult()
         probes = self.probes
@@ -235,10 +240,15 @@ class Workload:
         stats = repo.cache_stats
         result.started = started = clock()
         deadline = started + seconds
+        next_point = started if speed is not None else math.inf
         op = 0
         for index, batch in enumerate(data.batches):
-            if clock() >= deadline:
+            now = clock()
+            if now >= deadline:
                 break
+            if now >= next_point:
+                speed.point()
+                next_point = clock() + POINT_INTERVAL_SECONDS
             if tracer is not None:
                 tracer.op = op = op + 1
             result.attempted["apply"] += 1
@@ -441,7 +451,7 @@ class ServeMixed(Workload):
         repo = Repository(engine, max_sessions=inputs.SERVE_SESSION_SLOTS + 2)
         return Deployment(repo, engine, None, root)
 
-    def drive(self, dep, data, seconds, tracer=None):
+    def drive(self, dep, data, seconds, tracer=None, speed=None):
         repo = dep.repo
         result = LoopResult()
         queries = [(spec.name, spec.query) for spec in self.views]
@@ -452,9 +462,14 @@ class ServeMixed(Workload):
         writes = 0
         result.started = started = clock()
         deadline = started + seconds
+        next_point = started if speed is not None else math.inf
         for op, step in enumerate(data.schedule):
-            if clock() >= deadline:
+            now = clock()
+            if now >= deadline:
                 break
+            if now >= next_point:
+                speed.point()
+                next_point = clock() + POINT_INTERVAL_SECONDS
             if tracer is not None:
                 tracer.op = op
             code, slot, view_index = step & 3, step >> 2 & 3, step >> 4
